@@ -13,13 +13,29 @@ primed before timing) and interleaved in the same process, best of
 host is noisy, where absolute rates are not.  Results land in the
 ``simulator_throughput`` section of ``BENCH_results.json`` (both the
 ``benchmarks/`` report and the tracked repo-root snapshot).
+
+The warm rows never see code generation: the compiled backend
+generates each block the first time control reaches it, and caches it
+with the executable.  The ``cold`` rows show that start-up cost: the
+process time of one ``run_executable`` on a freshly linked executable
+of every Table 3 workload (baseline and config C builds), split into
+block code generation and execution, next to how many blocks were
+generated and how many block leaders the program has.
 """
 
 import time
 
-from repro import ProgramDatabase, compile_with_database, run_phase1
+from repro import (
+    AnalyzerOptions,
+    ProgramDatabase,
+    compile_with_database,
+    run_executable,
+    run_phase1,
+)
+from repro.analyzer.driver import analyze_program
+from repro.machine import compiled
 from repro.machine.simulator import Simulator
-from repro.workloads import get_workload
+from repro.workloads import all_workloads, get_workload
 
 from conftest import _SIM_THROUGHPUT, print_table
 
@@ -87,3 +103,75 @@ def test_compiled_backend_throughput():
         assert _SIM_THROUGHPUT[name]["speedup"] >= TARGET_SPEEDUP, (
             name, _SIM_THROUGHPUT[name]
         )
+
+
+COLD_CONFIGS = ("baseline", "C")
+
+
+def _cold_run(executable, max_cycles: int, codegen: list) -> dict:
+    codegen[0] = 0.0
+    start = time.process_time()
+    run_executable(executable, max_cycles=max_cycles)
+    total = time.process_time() - start
+    (program,) = compiled._PROGRAM_CACHE[executable].values()
+    return {
+        "codegen_s": codegen[0],
+        "execution_s": total - codegen[0],
+        "blocks_generated": len(program.codes),
+        "leaders": len(program.leaders),
+    }
+
+
+def test_compiled_backend_cold_first_run(monkeypatch):
+    # Process seconds spent generating block code, accumulated by a
+    # timing wrapper around the compiled backend's block generator.
+    codegen = [0.0]
+    generate = compiled._CompiledProgram._generate
+
+    def timed_generate(self, pc):
+        start = time.process_time()
+        try:
+            return generate(self, pc)
+        finally:
+            codegen[0] += time.process_time() - start
+
+    monkeypatch.setattr(compiled._CompiledProgram, "_generate",
+                        timed_generate)
+    cold: dict = {}
+    rows = []
+    for name, workload in sorted(all_workloads().items()):
+        phase1 = run_phase1(workload.sources)
+        summaries = [result.summary for result in phase1]
+        for config in COLD_CONFIGS:
+            database = (
+                ProgramDatabase() if config == "baseline"
+                else analyze_program(summaries, AnalyzerOptions.config(config))
+            )
+            executable = compile_with_database(phase1, database)
+            row = _cold_run(executable, workload.max_cycles, codegen)
+            assert row["blocks_generated"] > 0, (name, config)
+            cold.setdefault(name, {})[config] = row
+            rows.append((
+                name, config,
+                f"{row['codegen_s'] * 1e3:.1f}",
+                f"{row['execution_s'] * 1e3:.1f}",
+                f"{row['blocks_generated']}/{row['leaders']}",
+            ))
+    cold["total"] = {
+        key: sum(cold[name][config][key]
+                 for name in cold for config in COLD_CONFIGS)
+        for key in ("codegen_s", "execution_s")
+    }
+    _SIM_THROUGHPUT["cold"] = cold
+    rows.append((
+        "total", "",
+        f"{cold['total']['codegen_s'] * 1e3:.1f}",
+        f"{cold['total']['execution_s'] * 1e3:.1f}",
+        "",
+    ))
+    print_table(
+        "Simulator cold first run (compiled backend, process time)",
+        ["workload", "build", "codegen ms", "execution ms",
+         "blocks/leaders"],
+        rows,
+    )

@@ -42,9 +42,13 @@ class FunctionRange:
     source_module: str = ""
 
 
-@dataclass
+@dataclass(eq=False)
 class Executable:
-    """A linked PRISM program."""
+    """A linked PRISM program.
+
+    Compared and hashed by identity: the simulator caches compiled code
+    per executable object (content equality is what
+    :func:`executable_fingerprint` is for)."""
 
     instructions: list = field(default_factory=list)
     data_words: list = field(default_factory=list)
@@ -181,7 +185,11 @@ def link(modules: list, entry: str = "main") -> Executable:
         module, function = function_defs[name]
         base = len(executable.instructions)
         executable.function_entries[name] = base
-        instructions = copy.deepcopy(function.instructions)
+        # Relocation only rebinds ``target`` (B/BC) and ``resolved``
+        # (BL/LDA), so a shallow copy per instruction keeps the object
+        # module intact.
+        instructions = [copy.copy(instruction)
+                        for instruction in function.instructions]
         for instruction in instructions:
             if isinstance(instruction, (isa.B, isa.BC)):
                 instruction.target += base

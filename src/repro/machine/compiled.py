@@ -11,19 +11,24 @@ removes all three:
   targets, and call-return sites; a block additionally extends through
   the fall-through edge of conditional branches, so straight-line
   regions separated only by forward branches compile into one closure);
-* each block is compiled — once per executable and accounting
-  configuration — into one specialized Python closure with every
-  operand, cost, and stats increment folded in as a constant at
-  compile time; registers touched more than once are hoisted into
-  Python locals for the duration of the block and written back at
-  every exit;
+* each block is compiled — the first time control reaches it, once
+  per executable and accounting configuration — into one specialized
+  Python closure with every operand, cost, and stats increment folded
+  in as a constant at compile time; registers touched more than once
+  are hoisted into Python locals for the duration of the block and
+  written back at every exit.  Blocks no run reaches are never
+  generated;
 * a conditional (or unconditional) branch back to its own block head
   compiles into a real Python ``while`` loop, so tight simulated loops
   run without any per-iteration dispatch, register traffic, or counter
   writes (totals are reconstructed from the iteration count on exit);
 * the run loop chains closures directly: each block *returns the next
   block's closure* (threaded code), and the driver is just
-  ``block = block()``.
+  ``block = block()``.  Successors are closure cells shared by every
+  block of a run; until its block is bound a cell holds a stub that
+  binds it (generating its code on the program's first entry there)
+  and back-patches the cell (:class:`_Linkage`), so after the first
+  transition every edge is a plain cell load.
 
 Accounting stays **bit-identical** to the reference backend.  Cycle,
 instruction, and memory-reference counters are committed per block exit
@@ -76,13 +81,23 @@ Entering the middle of a block (only possible by returning through a
 corrupted return pointer) falls back to lazily compiling a suffix block
 for that program counter, so arbitrary control flow keeps the exact
 reference semantics.
+
+Generated code objects are cached with the executable
+(:data:`_PROGRAM_CACHE`, keyed weakly by executable identity): a later
+run of the same executable — ``run_executable`` builds a fresh
+:class:`~repro.machine.simulator.Simulator` each call — binds them to
+its own state and generates only the blocks no earlier run reached.
 """
 
 from __future__ import annotations
 
+import builtins
 import re
+import threading
 import weakref
 from dataclasses import astuple
+from functools import partial
+from types import CellType, CodeType, FunctionType
 
 from repro.machine.simulator import (
     _ADD,
@@ -288,9 +303,8 @@ def _peephole(lines: list) -> list:
 class _BlockCompiler:
     """Emits the Python source of one extended-basic-block closure."""
 
-    def __init__(self, program: "_CompiledProgram", local_starts):
+    def __init__(self, program: "_CompiledProgram"):
         self.program = program
-        self.local_starts = local_starts
         self.hoisted: set = set()
         self.written: set = set()
         self.iter_totals: list = [0] * 7
@@ -302,6 +316,8 @@ class _BlockCompiler:
         self.diamonds: dict = {}
         self.skip_slots: tuple = ()
         self.budget_extra: int = 0
+        # Leaders the current block transfers to directly.
+        self.targets: set = set()
         # Block-local constant lattice: register -> known int value at
         # the current emission point.  r0 is architecturally zero (the
         # reference backend never writes it).
@@ -697,7 +713,8 @@ class _BlockCompiler:
     # control-transfer targets
 
     def _target(self, pc: int) -> str:
-        if pc in self.local_starts:
+        if pc in self.program.leaders:
+            self.targets.add(pc)
             return f"_b{pc}"
         return f"goto({pc})"
 
@@ -1050,11 +1067,11 @@ class _BlockCompiler:
                 "    raise MachineError("
                 "'indirect call to non-function address %d' % t)"
             )
-            # Indirect targets are function entries, which are leaders:
-            # their dispatch slots are filled eagerly.
+            # Indirect targets are function entries (in range); the
+            # first call to one binds its block.
             self._emit_call(out, prefix, loop, return_pc=pc + 1,
                             callee="name", clobbers=op[3],
-                            target="dispatch[t]")
+                            target="dispatch[t] or goto(t)")
         elif code == _RET:
             out.extend(self._commit(prefix, loop))
             out.extend(self._writeback())
@@ -1321,6 +1338,7 @@ class _BlockCompiler:
         """Body lines (unindented) of the closure for the extended
         block at ``start``."""
         items, loop, inline = self._scan(start)
+        self.targets = set()
         self.diamonds = self._find_diamonds(items, inline, loop, start)
         skip_indices = frozenset(
             k for i, (j, _arm) in self.diamonds.items()
@@ -1444,13 +1462,28 @@ class _BlockCompiler:
         return out
 
 
+# Run state every block closure may read.  A block's code object takes
+# these (and its successors, as ``_b<pc>``) as free variables; a
+# :class:`_Linkage` supplies the cells.
+_STATE = (
+    "regs", "memory", "ctr", "output", "call_stack", "call_counts",
+    "call_edges", "limit", "slow", "flush", "frames", "ret_check",
+    "entry_names", "dispatch", "goto", "Halted", "MachineError", "ec",
+)
+_BLOCK_GLOBALS = {"__builtins__": builtins.__dict__}
+
+
 class _CompiledProgram:
-    """One executable compiled for one accounting configuration."""
+    """One executable compiled for one accounting configuration.
+
+    Code is generated per block, on first entry: :meth:`block_code`
+    turns the block at a pc into a code object once, and a
+    :class:`_Linkage` binds it to run state when control first reaches
+    it.  Blocks no run ever enters are never generated."""
 
     def __init__(self, simulator, track: bool, check: bool):
         self.decoded = simulator._decoded
         self.n = len(self.decoded)
-        self.executable = simulator.executable
         self.entry_pc = simulator.executable.entry_pc
         self.base = simulator.executable.data_base
         self.memory_words = simulator.memory_words
@@ -1465,7 +1498,9 @@ class _CompiledProgram:
         self.uniform = (not track) and all(
             op[1] == 1 for op in self.decoded
         )
-        self.leaders = _find_leaders(self.decoded, simulator.executable)
+        self.leaders = frozenset(
+            _find_leaders(self.decoded, simulator.executable)
+        )
         # Lazy slot accounting (non-attributed runs): straight-block
         # exits bump one per-site execution counter instead of
         # committing every counter slot; the per-site static totals
@@ -1473,8 +1508,21 @@ class _CompiledProgram:
         # HALT or before a reference-tail handoff.
         self.exit_totals: list = []
         self._exit_index: dict = {}
-        self._suffix_factories: dict = {}
-        self.factory = self._compile(sorted(self.leaders))
+        # pc -> code object of the block entered there (a leader, or a
+        # suffix entered through a corrupted return pointer).
+        self.codes: dict = {}
+        self._compiler = _BlockCompiler(self)
+        self._codegen_lock = threading.Lock()
+
+    def matches(self, simulator) -> bool:
+        """Whether this program still describes ``simulator``'s
+        executable (instructions may be mutated in place between
+        runs)."""
+        executable = simulator.executable
+        return (self.decoded == simulator._decoded
+                and self.entry_names == simulator._entry_names
+                and self.entry_pc == executable.entry_pc
+                and self.base == executable.data_base)
 
     def exit_site(self, totals: tuple) -> int:
         """Index of the lazy-commit site for ``totals`` (slots 1..6),
@@ -1485,46 +1533,37 @@ class _CompiledProgram:
             self.exit_totals.append(totals)
         return idx
 
-    def _compile(self, starts: list):
-        """exec one factory holding the closures for every ``starts``
-        block; calling the factory binds them to one run's state."""
-        compiler = _BlockCompiler(self, frozenset(starts))
-        lines = [
-            "def _factory(regs, memory, ctr, output, call_stack,",
-            "             call_counts, call_edges, limit, slow, flush,",
-            "             frames, ret_check, entry_names, dispatch,",
-            "             goto, Halted, MachineError, ec):",
-        ]
-        for start in starts:
-            lines.append(f"    def _b{start}():")
-            for line in _peephole(compiler.block_source(start)):
-                lines.append("        " + line)
-        lines.append(
-            "    return {"
-            + ", ".join(f"{start}: _b{start}" for start in starts)
-            + "}"
-        )
-        namespace: dict = {}
-        exec(  # noqa: S102 - source is generated from the decoded stream
-            compile("\n".join(lines), "<repro-sim-compiled>", "exec"),
-            namespace,
-        )
-        return namespace["_factory"]
+    def block_code(self, pc: int):
+        """Code object of the block entered at ``pc``, generated on the
+        first request."""
+        code = self.codes.get(pc)
+        if code is None:
+            with self._codegen_lock:
+                code = self.codes.get(pc)
+                if code is None:
+                    code = self.codes[pc] = self._generate(pc)
+        return code
 
-    def suffix_factory(self, pc: int):
-        """Factory for a block entered mid-straight-line (a return to a
-        non-leader pc); compiled on demand and cached."""
-        factory = self._suffix_factories.get(pc)
-        if factory is None:
-            factory = self._suffix_factories[pc] = self._compile([pc])
-        return factory
+    def _generate(self, pc: int):
+        compiler = self._compiler
+        body = _peephole(compiler.block_source(pc))
+        params = _STATE + tuple(f"_b{t}" for t in sorted(compiler.targets))
+        lines = [f"def _factory({', '.join(params)}):",
+                 f"    def _b{pc}():"]
+        lines.extend("        " + line for line in body)
+        # Only the inner function's code is kept: its free variables are
+        # bound to a linkage's cells, never to the factory's.
+        module = compile("\n".join(lines), "<repro-sim-compiled>", "exec")
+        factory = next(c for c in module.co_consts
+                       if isinstance(c, CodeType))
+        return next(c for c in factory.co_consts if isinstance(c, CodeType))
 
     def run(self, simulator, max_cycles: int, tracer) -> ExecutionStats:
         stats = ExecutionStats()
         regs = [0] * NUM_REGISTERS
         memory = [0] * self.memory_words
         base = self.base
-        data_words = self.executable.data_words
+        data_words = simulator.executable.data_words
         memory[base:base + len(data_words)] = data_words
         regs[SP] = self.memory_words
         output: list = []
@@ -1535,7 +1574,6 @@ class _CompiledProgram:
         per_proc: dict = {}
         marks = [0, 0, 0, 0, 0]
         frames: list | None = [] if self.check else None
-        n = self.n
 
         def flush(name):
             _flush_proc(per_proc, name, ctr[0], ctr[1], ctr[2], ctr[3],
@@ -1588,39 +1626,22 @@ class _CompiledProgram:
                             output, call_stack, stats, per_proc, marks,
                             frames)
 
-        dispatch: list = [None] * n
-
-        def goto(pc):
-            if not 0 <= pc < n:
-                raise MachineError(f"pc out of range: {pc}")
-            block = dispatch[pc]
-            if block is None:
-                factory = self.suffix_factory(pc)
-                # Compiling a suffix can register new lazy-commit
-                # sites; grow this run's counter list in place before
-                # the new closures can execute.
-                grow = len(self.exit_totals) - len(ec)
-                if grow > 0:
-                    ec.extend([0] * grow)
-                block = factory(*factory_args)[pc]
-                dispatch[pc] = block
-            return block
-
         ec: list = [0] * len(self.exit_totals)
-        factory_args = (
-            regs, memory, ctr, output, call_stack, stats.call_counts,
-            stats.call_edges, max_cycles, slow, flush, frames, ret_check,
-            self.entry_names, dispatch, goto, _Halted, MachineError, ec,
+        linkage = _Linkage(
+            self, regs=regs, memory=memory, ctr=ctr, output=output,
+            call_stack=call_stack, call_counts=stats.call_counts,
+            call_edges=stats.call_edges, limit=max_cycles, slow=slow,
+            flush=flush, frames=frames, ret_check=ret_check, ec=ec,
         )
-        for start, closure in self.factory(*factory_args).items():
-            dispatch[start] = closure
-
-        block = goto(self.entry_pc)
         try:
-            while True:
-                block = block()
-        except _Halted:
-            pass
+            block = linkage.goto(self.entry_pc)
+            try:
+                while True:
+                    block = block()
+            except _Halted:
+                pass
+        finally:
+            linkage.release()
 
         if not reconstructed[0]:
             reconstruct_counts()
@@ -1668,6 +1689,72 @@ class _CompiledProgram:
                     },
                 )
         return stats
+
+
+class _Linkage:
+    """Binds a program's block code objects to one run's state through
+    closure cells it owns.
+
+    Every block closure reads run state (``regs``, ``ctr``, ...) and
+    its successors (``_b<pc>``) from these cells.  A successor's cell
+    starts out holding a stub; the first transition to it binds the
+    block (generating its code on the program's first entry there) and
+    back-patches the cell, so from then on each transition is a plain
+    cell load returning the successor's closure (direct threading)."""
+
+    def __init__(self, program: _CompiledProgram, **state):
+        self.program = program
+        # pc -> bound block, for entries through computed targets
+        # (returns, indirect calls).
+        self.dispatch: list = [None] * program.n
+        self.ec: list = state["ec"]
+        state.update(entry_names=program.entry_names,
+                     dispatch=self.dispatch, goto=self.goto,
+                     Halted=_Halted, MachineError=MachineError)
+        self.cells = {name: CellType(state[name]) for name in _STATE}
+
+    def release(self) -> None:
+        """Empty every cell, so the finished run's state (its memory
+        image above all) and its blocks are freed promptly."""
+        for cell in self.cells.values():
+            cell.cell_contents = None
+
+    def goto(self, pc: int):
+        if not 0 <= pc < self.program.n:
+            raise MachineError(f"pc out of range: {pc}")
+        return self.dispatch[pc] or self.materialize(pc)
+
+    def materialize(self, pc: int):
+        """Bind the block entered at ``pc`` (generating its code on the
+        program's first entry there) and back-patch its cell."""
+        program = self.program
+        code = program.block_code(pc)
+        # New code can register lazy-commit sites: grow this run's
+        # counter list in place before the block can execute.
+        grow = len(program.exit_totals) - len(self.ec)
+        if grow > 0:
+            self.ec.extend([0] * grow)
+        cells = self.cells
+        closure = tuple(
+            cells.get(name) or self._block_cell(name)
+            for name in code.co_freevars
+        )
+        block = FunctionType(code, _BLOCK_GLOBALS, None, None, closure)
+        self.dispatch[pc] = block
+        cell = cells.get(f"_b{pc}")
+        if cell is not None:
+            cell.cell_contents = block
+        return block
+
+    def _block_cell(self, name: str):
+        """The cell for successor ``_b<pc>``: its block if bound, else a
+        stub that binds it on first entry.  (Calling the stub returns
+        the block; the run loop then calls that.)"""
+        pc = int(name[2:])
+        cell = self.cells[name] = CellType(
+            self.dispatch[pc] or partial(self.materialize, pc)
+        )
+        return cell
 
 
 def _reference_tail(program: _CompiledProgram, pc: int, max_cycles: int,
@@ -1913,12 +2000,13 @@ def _reference_tail(program: _CompiledProgram, pc: int, max_cycles: int,
     raise _Halted
 
 
-# Compiled programs cached per executable so repeated runs (and
+# Compiled programs cached per executable (by identity, held weakly: a
+# program keeps no reference to its executable) so repeated runs (and
 # repeated Simulator constructions over the same executable, as
-# ``run_executable`` does) skip codegen.  Guarded against in-place
-# mutation of the executable (e.g. tests that corrupt instructions
-# between runs) by comparing the freshly decoded stream against the
-# cached one.
+# ``run_executable`` does) reuse every block generated so far.
+# Guarded against in-place mutation of the executable (e.g. tests that
+# corrupt instructions between runs) by comparing the freshly decoded
+# stream and entry points against the cached ones.
 _PROGRAM_CACHE: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
@@ -1938,12 +2026,9 @@ def run_compiled(simulator, max_cycles: int) -> ExecutionStats:
             key[0], key[1], simulator.memory_words,
             astuple(simulator.costs), simulator.volatile_registers,
         )
-        try:
-            per_exe = _PROGRAM_CACHE.setdefault(simulator.executable, {})
-        except TypeError:  # pragma: no cover - unweakrefable executable
-            per_exe = {}
+        per_exe = _PROGRAM_CACHE.setdefault(simulator.executable, {})
         program = per_exe.get(cache_key)
-        if program is None or program.decoded != simulator._decoded:
+        if program is None or not program.matches(simulator):
             program = _CompiledProgram(simulator, key[0], key[1])
             per_exe[cache_key] = program
         simulator._compiled_cache[key] = program

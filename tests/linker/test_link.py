@@ -5,7 +5,13 @@ import pytest
 from repro.analyzer.database import ProgramDatabase
 from repro.backend.phase2 import compile_module_phase2
 from repro.frontend.phase1 import compile_module_phase1
-from repro.linker.link import DATA_BASE, LinkError, link
+from repro.linker.link import (
+    DATA_BASE,
+    LinkError,
+    _instruction_fields,
+    executable_fingerprint,
+    link,
+)
 from repro.target import isa
 
 
@@ -170,3 +176,45 @@ def test_linking_is_repeatable():
     assert len(exe1.instructions) == len(exe2.instructions)
     for a, b in zip(exe1.instructions, exe2.instructions):
         assert repr(a) == repr(b)
+
+
+def _module_snapshot(objects):
+    """Every slot of every object-module instruction, by value."""
+    return [
+        [
+            {slot: list(value) if isinstance(value, list) else value
+             for slot, value in _instruction_fields(instruction).items()}
+            for instruction in function.instructions
+        ]
+        for obj in objects
+        for function in obj.functions
+    ]
+
+
+def test_relinking_gives_identical_fingerprints_and_keeps_inputs():
+    objects = compile_objects({
+        "a": (
+            "int g = 4;\nint helper(int x) {\n"
+            "  int i; int s = 0;\n"
+            "  for (i = 0; i < x; i++) s = s + g;\n"
+            "  return s;\n}"
+        ),
+        "b": (
+            "extern int helper(int);\nextern int g;\n"
+            "int main() { int *p = &helper; g = 2; return p(3) + helper(g); }"
+        ),
+    })
+    before = _module_snapshot(objects)
+    exe1 = link(objects)
+    exe2 = link(objects)
+    assert executable_fingerprint(exe1) == executable_fingerprint(exe2)
+    assert _module_snapshot(objects) == before
+    # Relocation wrote only to the executables' own copies.
+    module_ids = {
+        id(instruction)
+        for obj in objects for function in obj.functions
+        for instruction in function.instructions
+    }
+    assert not module_ids & {id(i) for i in exe1.instructions}
+    assert any(isinstance(i, isa.BC) for i in exe1.instructions)
+    assert any(isinstance(i, isa.LDA) for i in exe1.instructions)

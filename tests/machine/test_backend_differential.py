@@ -22,6 +22,7 @@ from repro import (
     run_phase1,
 )
 from repro.analyzer.driver import analyze_program
+from repro.machine import compiled
 from repro.machine.simulator import (
     BACKENDS,
     DEFAULT_BACKEND,
@@ -32,6 +33,7 @@ from repro.machine.simulator import (
     resolve_backend,
 )
 from repro.target import isa
+from repro.target.registers import RP, RV
 from repro.verify.progen import generate_fuzz_program
 from repro.workloads import all_workloads
 
@@ -238,3 +240,161 @@ def test_unknown_backend_rejected(monkeypatch):
     monkeypatch.setenv("REPRO_SIM", "bogus")
     with pytest.raises(ValueError, match="unknown simulator backend"):
         resolve_backend()
+
+
+# ----------------------------------------------------------------------
+# Lazy block entry: the compiled backend generates a block the first
+# time control reaches it.  Every way a block can be entered first must
+# still agree with the reference interpreter, and code no run reaches
+# must never be generated.
+
+KWARG_SETS = ({}, {"procedure_stats": True}, {"check_conventions": True})
+
+
+def _programs(executable):
+    """The compiled programs cached for ``executable`` (one per
+    accounting configuration run so far)."""
+    return list(compiled._PROGRAM_CACHE[executable].values())
+
+
+def _generated(executable):
+    """Every pc some compiled program generated a block for."""
+    return {pc for program in _programs(executable) for pc in program.codes}
+
+
+def _function_pcs(executable, name):
+    rng = next(r for r in executable.function_ranges if r.name == name)
+    return set(range(rng.start, rng.end))
+
+
+_INDIRECT = """
+    int target(int x) { return x * 2 + 1; }
+    int twice(int x) { int *p = &target; return p(p(x)); }
+    int main() { print(twice(3)); return twice(5) & 255; }
+"""
+
+
+@pytest.mark.parametrize("kwargs", KWARG_SETS, ids=str)
+def test_lazy_entry_through_indirect_call(kwargs):
+    executable = compile_program({"m": _INDIRECT}).executable
+    outcome = assert_backends_agree(executable, FUZZ_MAX_CYCLES, **kwargs)
+    assert outcome[0] == "stats"
+    # ``target`` is only ever called through BLR: its block was first
+    # entered (and generated) by the indirect call.
+    assert executable.function_entries["target"] in _generated(executable)
+
+
+@pytest.mark.parametrize("kwargs", KWARG_SETS, ids=str)
+def test_lazy_entry_through_return(kwargs):
+    # The BLR ends its block, so the return site after it is a separate
+    # block first reached by the callee's RET.
+    executable = compile_program({"m": _INDIRECT}).executable
+    return_sites = {
+        pc + 1 for pc, instruction in enumerate(executable.instructions)
+        if isinstance(instruction, isa.BLR)
+    }
+    assert return_sites
+    outcome = assert_backends_agree(executable, FUZZ_MAX_CYCLES, **kwargs)
+    assert outcome[0] == "stats"
+    assert return_sites <= _generated(executable)
+
+
+_CALLS = """
+    int helper(int x) { return x + 1; }
+    int main() {
+      int a;
+      a = helper(1);
+      print(a);
+      print(a + 2);
+      return helper(a);
+    }
+"""
+
+
+@pytest.mark.parametrize("kwargs", KWARG_SETS, ids=str)
+def test_lazy_entry_through_corrupted_return_pointer(kwargs):
+    executable = compile_program({"m": _CALLS}).executable
+    # helper now returns two instructions past each return site: into
+    # the middle of a block that was never entered.
+    entry = executable.function_entries["helper"]
+    executable.instructions[entry] = isa.ALUI("+", RP, RP, 2)
+    assert_backends_agree(executable, FUZZ_MAX_CYCLES, **kwargs)
+    leaders = {pc for program in _programs(executable)
+               for pc in program.leaders}
+    assert _generated(executable) - leaders, "no suffix block was entered"
+
+
+def test_lazy_entry_cycle_limit_before_most_blocks_exist():
+    workload = WORKLOADS["paopt"]
+    executable = compile_with_database(
+        _workload_phase1("paopt"), ProgramDatabase()
+    )
+    for limit in (1, 60, 2_000):
+        outcome = assert_backends_agree(executable, limit)
+        assert outcome[0] == "limit"
+    (program,) = _programs(executable)
+    assert len(program.codes) < len(program.leaders) // 4
+    # The same cached program then runs to completion, generating the
+    # blocks the truncated runs never reached.
+    outcome = assert_backends_agree(executable, workload.max_cycles)
+    assert outcome[0] == "stats"
+    assert _programs(executable) == [program]
+    assert len(program.codes) > len(program.leaders) // 4
+
+
+_NEVER = """
+    int never(int x) { return x * 3 + x / 7; }
+    int helper(int x) { return x + 1; }
+    int main() { %s print(helper(4)); return 0; }
+"""
+
+
+@pytest.mark.parametrize("reached", [False, True])
+def test_lazy_unreached_function_with_bad_constant_address(reached):
+    call = "int *p = &never; print(p(2));" if reached else ""
+    executable = compile_program({"m": _NEVER % call}).executable
+    # never() loads from a constant address past the end of memory:
+    # codegen resolves the bounds check to the reference fault.
+    entry = executable.function_entries["never"]
+    executable.instructions[entry] = isa.LDI(RV, 1 << 22)
+    executable.instructions[entry + 1] = isa.LDW(RV, RV, 0)
+    for kwargs in KWARG_SETS:
+        outcome = assert_backends_agree(
+            executable, FUZZ_MAX_CYCLES, **kwargs
+        )
+        assert outcome[0] == ("fault" if reached else "stats")
+    generated = _generated(executable)
+    if reached:
+        assert entry in generated
+    else:
+        assert generated
+        assert not _function_pcs(executable, "never") & generated
+
+
+_DEAD_CODE = """
+    int g;
+    int used(int n) {
+      int i;
+      int s = 0;
+      for (i = 0; i < n; i++) s = s + i;
+      return s;
+    }
+    int dead_loop(int n) {
+      int i;
+      for (i = 0; i < n; i++) g = g + i * i;
+      return g;
+    }
+    int dead_caller(int n) { if (n > 3) return dead_loop(n); return used(n); }
+    int main() { print(used(10)); return 0; }
+"""
+
+
+@pytest.mark.parametrize("kwargs", KWARG_SETS, ids=str)
+def test_unreached_functions_never_generated(kwargs):
+    executable = compile_program({"m": _DEAD_CODE}).executable
+    outcome = assert_backends_agree(executable, FUZZ_MAX_CYCLES, **kwargs)
+    assert outcome[0] == "stats"
+    generated = _generated(executable)
+    assert generated
+    for name in ("dead_loop", "dead_caller"):
+        assert not _function_pcs(executable, name) & generated, name
