@@ -124,9 +124,9 @@ _BENCH_WORKLOADS: dict = {}
 _SCHEDULER_METRICS: dict = {}
 
 
-# Incremental-analyzer editing-session totals (bench_incremental.py),
-# written alongside the tables at session end.
-_INCREMENTAL_SESSION: dict = {}
+# Editing-session analyze times and phase-2 cache traffic
+# (bench_edit_session.py), written alongside the tables at session end.
+_EDIT_SESSION: dict = {}
 
 
 # Disabled-tracing overhead measurements (bench_observability.py),
@@ -252,32 +252,31 @@ def write_bench_report(json_path) -> dict:
     """Merge this session's sections over ``json_path`` and rewrite it.
 
     A partial session (one bench module selected) refreshes only the
-    sections it measured instead of clobbering the full matrix.
+    sections it measured instead of clobbering the full matrix.  Only
+    the sections listed here are kept, so a retired bench's section
+    leaves the report at its next refresh.
     """
-    payload = {}
+    previous = {}
     try:
         with open(json_path) as handle:
-            payload.update(json.load(handle))
+            previous = json.load(handle)
     except (OSError, ValueError):
         pass
     # The legend must come from this build, not the merged report: a
     # stale file written before a legend change would otherwise
     # resurrect the old wording.
-    payload["legend"] = CONFIG_LEGEND
+    payload = {"legend": CONFIG_LEGEND}
     for key, section in (
         ("workloads", _BENCH_WORKLOADS),
         ("scheduler", _SCHEDULER_METRICS),
-        ("incremental_session", _INCREMENTAL_SESSION),
+        ("edit_session", _EDIT_SESSION),
         ("observability_overhead", _OBSERVABILITY),
         ("simulator_throughput", _SIM_THROUGHPUT),
         ("allocator_tournament", _ALLOCATOR_TOURNAMENT),
         ("scalability", _SCALABILITY),
         ("service_load", _SERVICE_LOAD),
     ):
-        if section:
-            payload[key] = section
-        else:
-            payload.setdefault(key, {})
+        payload[key] = section or previous.get(key, {})
     with open(json_path, "w") as handle:
         json.dump(payload, handle, indent=2, sort_keys=True)
         handle.write("\n")
@@ -306,7 +305,7 @@ def _append_bench_history(json_path):
 
 def pytest_sessionfinish(session, exitstatus):
     written = []
-    if (_BENCH_WORKLOADS or _SCHEDULER_METRICS or _INCREMENTAL_SESSION
+    if (_BENCH_WORKLOADS or _SCHEDULER_METRICS or _EDIT_SESSION
             or _OBSERVABILITY or _SIM_THROUGHPUT
             or _ALLOCATOR_TOURNAMENT or _SCALABILITY or _SERVICE_LOAD):
         json_path = os.path.join(

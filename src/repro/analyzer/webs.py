@@ -161,10 +161,9 @@ def identify_variable_webs(
     """Compute the (screened) webs of one variable.
 
     Construction for different variables is independent except for the
-    shared ``next_id`` counter, so callers that memoize per-variable
-    results (the incremental analyzer) get output identical to
-    :func:`identify_webs` as long as they replay the same number of
-    consumed ids per variable.
+    shared ``next_id`` counter, so running the variables one at a time
+    in sorted order (as the analyzer driver does) gives output
+    identical to :func:`identify_webs`.
     """
     options = options or WebOptions()
     if next_id is None:
@@ -209,8 +208,7 @@ def _identify_variable_webs_packed(
     Webs are node bitmasks until screening; every growth/merge step
     follows the reference control flow call for call, so the id counter
     advances identically and the resulting web list (ids, member sets,
-    order) is indistinguishable from the reference kernel's — the
-    property the incremental analyzer's per-variable replay depends on.
+    order) is indistinguishable from the reference kernel's.
     Node bit order is ``sorted(graph.nodes)``, so ascending-bit sweeps
     reproduce the reference ``sorted(...)`` traversals.
     """

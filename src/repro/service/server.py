@@ -6,10 +6,11 @@ sessions over the newline-JSON protocol of
 subsystems:
 
 * each session owns a serial
-  :class:`~repro.driver.scheduler.CompilationScheduler` with its own
-  :class:`~repro.incremental.engine.IncrementalAnalyzer`, so an
-  edit-recompile loop re-analyzes only the dirty region — the paper's
-  separate-compilation story as a service;
+  :class:`~repro.driver.scheduler.CompilationScheduler`; every compile
+  reruns the analyzer from scratch (cheap next to the two compiler
+  phases, as the paper argues) while the shared cache below recompiles
+  only the modules an edit touched — the paper's separate-compilation
+  story as a service;
 * every session's scheduler compiles against **one shared**
   :class:`~repro.driver.cache.ArtifactCache`, sharded by key prefix
   with the per-shard LRU byte cap, so concurrent sessions dedupe
@@ -27,7 +28,7 @@ Concurrency discipline, in one paragraph: the event loop owns all
 mutable service state (sessions table, registry, counters).  A compile
 job receives an immutable snapshot of its session's sources, runs in a
 worker thread under the session's lock (so one session's compiles are
-serialized and its scheduler/incremental state is single-threaded),
+serialized and its scheduler is single-threaded),
 and only its *result* crosses back to the loop.  The shared cache is
 the one object touched from many threads; its writes are atomic
 (tempfile + rename) and content-addressed, so racing sessions can only
@@ -57,6 +58,7 @@ from repro.analyzer.options import AnalyzerOptions
 from repro.driver.cache import ArtifactCache
 from repro.driver.pipeline import collect_profile
 from repro.driver.scheduler import CompilationScheduler
+from repro.lang.errors import CompileError
 from repro.linker.link import executable_fingerprint
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.tracer import NULL_TRACER, Tracer, activate
@@ -404,11 +406,21 @@ class CompileService:
                     return error_response(
                         request_id, err.code, err.message
                     )
+                except CompileError as err:
+                    # The session's sources are at fault, not the
+                    # daemon: name the slug and the source location
+                    # ("module:line:column: message").
+                    if tracer.enabled:
+                        tracer.event(
+                            "request-error", code="compile-error"
+                        )
+                    return error_response(
+                        request_id, "compile-error", str(err)
+                    )
                 except Exception as err:  # noqa: BLE001 — the server
                     # must survive anything a compile can throw
-                    # (front-end errors, audit failures, pickling
-                    # trouble); the failure is the client's news, not
-                    # the daemon's end.
+                    # (audit failures, pickling trouble); the failure
+                    # is the client's news, not the daemon's end.
                     if tracer.enabled:
                         tracer.event(
                             "request-error", code="internal-error"
@@ -544,7 +556,6 @@ class CompileService:
             scheduler=CompilationScheduler(
                 jobs=1,
                 cache=self.cache,
-                incremental=True,
                 verify=False,
                 allocator=params.get("allocator"),
             ),
@@ -671,7 +682,6 @@ class CompileService:
                 "phase1_cached": modules - phase1_compiled,
                 "phase2_compiled": phase2_compiled,
                 "phase2_cached": modules - phase2_compiled,
-                "analyze": dict(delta.analyze),
                 "stage_seconds": dict(delta.stage_seconds),
                 "seconds": seconds,
                 "queue_seconds": queue_seconds,

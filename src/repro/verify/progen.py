@@ -247,8 +247,8 @@ class FuzzProgramGenerator(ProgramGenerator):
         """One seeded edit of ``sources``: same (seed, step, sources)
         always yields the same mutated program.
 
-        Draws one of the edit kinds the incremental analyzer must
-        survive — edit a function body, add or remove a call edge, take
+        Draws one of the edit kinds an editing session produces —
+        edit a function body, add or remove a call edge, take
         a procedure's address (which also adds an indirect call site),
         or reference a previously-untouched global.  Mutants are valid,
         analyzable, linkable programs, but call-edge additions may

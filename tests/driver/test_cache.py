@@ -1,4 +1,4 @@
-"""Cache-invalidation contract of the incremental driver.
+"""Cache-invalidation contract of the scheduler's artifact cache.
 
 The paper's recompilation story (sections 2 and 7.4): editing one
 module re-runs phase 1 for that module only; changing analyzer options

@@ -45,27 +45,28 @@ def test_metrics_surface_on_compilation_result():
     assert set(payload) == {
         "jobs", "stage_seconds", "stage_tasks",
         "cache_hits", "cache_misses", "cache_bad_entries",
-        "cache_evictions", "audit", "analyze",
+        "cache_evictions", "audit",
     }
     assert payload["audit"] == {}  # auditing was off for this compile
-    assert payload["analyze"] == {}  # and so was incremental analysis
 
 
-def test_metrics_track_analyze_counters():
-    """MetricsSnapshot.minus diffs the analyze counters the same way it
-    diffs cache counters, and to_json_dict carries them."""
+def test_minus_diffs_counter_fields():
+    """MetricsSnapshot.minus differences counter families key-by-key,
+    drops zero deltas, and to_json_dict carries the result."""
     before = MetricsSnapshot(
-        jobs=1, analyze={"runs": 3, "webs_reused": 40}
+        jobs=1,
+        stage_tasks={"phase1": 3, "analyze": 1},
+        cache_hits={"phase2": 40},
     )
     after = MetricsSnapshot(
         jobs=1,
-        analyze={"runs": 5, "webs_reused": 55, "incremental": 2},
+        stage_tasks={"phase1": 5, "analyze": 1, "phase2": 2},
+        cache_hits={"phase2": 55},
     )
     delta = after.minus(before)
-    assert delta.analyze == {
-        "runs": 2, "webs_reused": 15, "incremental": 2
-    }
-    assert delta.to_json_dict()["analyze"] == delta.analyze
+    assert delta.stage_tasks == {"phase1": 2, "phase2": 2}
+    assert delta.cache_hits == {"phase2": 15}
+    assert delta.to_json_dict()["stage_tasks"] == delta.stage_tasks
 
 
 def test_minus_carries_audit_snapshot_without_sharing():
@@ -98,7 +99,6 @@ def test_snapshot_json_round_trip():
         cache_misses={"phase2": 2},
         cache_bad_entries={},
         cache_evictions={},
-        analyze={"runs": 1},
         audit={"violation_count": 0, "violations_by_check": {}},
     )
     payload = snapshot.to_json_dict()

@@ -3,9 +3,10 @@
 ``write_bench_report`` merges a session's measured sections over the
 previous ``BENCH_results.json`` so partial runs refresh only what they
 measured.  The merge must keep unmeasured sections, overwrite measured
-ones, and never let a stale legend from the old file shadow the
-current ``CONFIG_LEGEND`` (a real regression: the legend was seeded
-before the merge and then clobbered by ``payload.update``).
+ones, drop sections no bench writes any more, and never let a stale
+legend from the old file shadow the current ``CONFIG_LEGEND`` (a real
+regression: the legend was seeded before the merge and then clobbered
+by ``payload.update``).
 """
 
 import importlib.util
@@ -43,6 +44,7 @@ def test_current_legend_survives_merge(bench_conftest, tmp_path):
     path.write_text(json.dumps({
         "legend": {"A": "stale wording from an old build"},
         "workloads": {"othello": {"baseline": {"cycles": 1}}},
+        "retired_section": {"seconds": 1.0},
     }))
     bench_conftest._SCHEDULER_METRICS.update({"jobs": 2})
 
@@ -57,6 +59,8 @@ def test_current_legend_survives_merge(bench_conftest, tmp_path):
         "othello": {"baseline": {"cycles": 1}}
     }
     assert on_disk["scheduler"] == {"jobs": 2}
+    # A section no bench writes any more leaves the report.
+    assert "retired_section" not in on_disk
 
 
 def test_fresh_report_without_previous_file(bench_conftest, tmp_path):
@@ -76,7 +80,7 @@ def test_fresh_report_without_previous_file(bench_conftest, tmp_path):
     # Sections nothing measured still exist, empty, so consumers can
     # index unconditionally.
     assert on_disk["workloads"] == {}
-    assert on_disk["incremental_session"] == {}
+    assert on_disk["edit_session"] == {}
 
 
 def test_corrupt_previous_report_is_replaced(bench_conftest, tmp_path):

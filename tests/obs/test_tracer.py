@@ -13,7 +13,6 @@ from repro.obs.tracer import (
     canonicalize_trace,
     current_tracer,
     read_trace,
-    suppressed,
 )
 
 
@@ -110,7 +109,8 @@ def test_ambient_activation_and_suppression():
     tracer = Tracer()
     with activate(tracer):
         assert current_tracer() is tracer
-        with suppressed():
+        # Activating the null tracer silences the ambient one.
+        with activate(NULL_TRACER):
             assert current_tracer() is NULL_TRACER
             current_tracer().event("dropped", x=1)
         assert current_tracer() is tracer

@@ -97,7 +97,7 @@ class TestSessionErrors:
         )["session"]
         with pytest.raises(ServiceError) as excinfo:
             client.compile(session)
-        assert excinfo.value.code == "internal-error"
+        assert excinfo.value.code == "compile-error"
         # The failure belongs to the client, not the daemon: the
         # session is intact and a fixed source compiles.
         client.edit(session, "m", "int main() { print(2); return 0; }")

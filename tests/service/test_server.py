@@ -37,7 +37,7 @@ int accumulate(int x) {
 
 
 def serial_fingerprint(sources, config="C", opt_level=2) -> str:
-    """The oracle: a fresh, serial, uncached, non-incremental compile."""
+    """The oracle: a fresh, serial, uncached compile."""
     with CompilationScheduler(jobs=1) as scheduler:
         options = (
             AnalyzerOptions.config(config) if config is not None else None
@@ -74,10 +74,11 @@ class TestLifecycle:
         client.compile(session)
         again = client.compile(session)
         # Unchanged sources: every phase-1/phase-2 artifact comes from
-        # the shared cache and the analyzer run is incremental.
+        # the shared cache; only the analyzer reruns.
         assert again["phase1_compiled"] == 0
         assert again["phase2_compiled"] == 0
-        assert again["analyze"].get("incremental") == 1
+        assert again["stage_seconds"].get("analyze", 0) > 0
+        assert "analyze" not in again
         client.close_session(session)
 
     def test_edit_recompiles_only_dirty_module(self, client):
@@ -111,7 +112,24 @@ class TestLifecycle:
         assert out["fingerprint"] == serial_fingerprint(
             SOURCES, config=None
         )
-        assert out["analyze"] == {}  # no analyzer stage at baseline
+        # no analyzer stage at baseline
+        assert "analyze" not in out["stage_seconds"]
+        client.close_session(session)
+
+    def test_syntax_error_is_compile_error(self, client):
+        broken = SOURCES["lib"].replace("return total;", "return total")
+        session = client.open_session(
+            {**SOURCES, "lib": broken}
+        )["session"]
+        with pytest.raises(ServiceError) as excinfo:
+            client.compile(session)
+        assert excinfo.value.code == "compile-error"
+        # The message names the module, line and column of the fault.
+        line = broken.splitlines().index("}") + 1
+        assert excinfo.value.message.startswith(f"lib:{line}:1: ")
+        client.edit(session, "lib", SOURCES["lib"])
+        out = client.compile(session)
+        assert out["fingerprint"] == serial_fingerprint(SOURCES)
         client.close_session(session)
 
     def test_profile_feeds_config_b(self, client):
