@@ -58,6 +58,20 @@ _BINARY_TOKEN_OPS = {
     TokenKind.PERCENT: "%",
 }
 
+_UNARY_OPS = {
+    TokenKind.MINUS: "-",
+    TokenKind.BANG: "!",
+    TokenKind.TILDE: "~",
+    TokenKind.STAR: "*",
+    TokenKind.AMP: "&",
+}
+
+_PREFIX_KINDS = frozenset(_UNARY_OPS) | {
+    TokenKind.PLUS,
+    TokenKind.PLUS_PLUS,
+    TokenKind.MINUS_MINUS,
+}
+
 _COMPOUND_ASSIGN_OPS = {
     TokenKind.PLUS_ASSIGN: "+",
     TokenKind.MINUS_ASSIGN: "-",
@@ -67,6 +81,22 @@ _COMPOUND_ASSIGN_OPS = {
 }
 
 
+# Nesting bounds.  The parser and the passes after it are recursive, so
+# without a bound a deeply nested input overflows the interpreter's
+# recursion limit (1000 frames); with one it is a located ParseError.
+
+#: Deepest the parser itself may recurse: each statement inside another,
+#: each sub-expression and each prefix operator is one level, and a
+#: level costs the parser at most six Python frames.
+MAX_NESTING = 120
+#: Deepest the syntax tree may nest.  It counts the levels above plus
+#: each link of a chain such as ``a + b + c`` or ``a[i][j]``, which the
+#: parser builds in a loop but whose tree nests to the left, so a
+#: chain's links count on top of its deepest operand.  Later passes
+#: spend at most two frames per level of tree.
+MAX_TREE_DEPTH = 300
+
+
 class Parser:
     """Parses one Tiny-C compilation unit into an :class:`ast.Module`."""
 
@@ -74,6 +104,11 @@ class Parser:
         self._tokens = tokens
         self._pos = 0
         self._module_name = module_name
+        # Nesting of the construct being parsed (the parser's own
+        # recursion), and the deepest level the expression being parsed
+        # has reached so far, chain links included.
+        self._depth = 0
+        self._reached = 0
 
     # -- token plumbing -------------------------------------------------
 
@@ -94,6 +129,27 @@ class Parser:
         if self._check(kind):
             return self._advance()
         return None
+
+    def _nest(self, token: Token) -> None:
+        """Enter one more level of nesting (see :data:`MAX_NESTING`);
+        the caller leaves it with ``self._depth -= 1``.  A parse error
+        abandons the parser, so error paths need not unwind."""
+        self._depth += 1
+        if self._depth > MAX_NESTING:
+            raise ParseError(
+                f"nesting deeper than {MAX_NESTING} levels", token.location
+            )
+        if self._depth > self._reached:
+            self._reached = self._depth
+
+    def _chain(self, links: int, token: Token) -> None:
+        """Check a chain ``links`` long over the operands parsed so far
+        (see :data:`MAX_TREE_DEPTH`)."""
+        if self._reached + links > MAX_TREE_DEPTH:
+            raise ParseError(
+                f"expression nests deeper than {MAX_TREE_DEPTH} levels",
+                token.location,
+            )
 
     def _expect(self, kind: TokenKind, what: str = "") -> Token:
         if self._check(kind):
@@ -392,6 +448,12 @@ class Parser:
 
     def _parse_statement(self) -> ast.Stmt:
         token = self._peek()
+        self._nest(token)
+        statement = self._parse_statement_at(token)
+        self._depth -= 1
+        return statement
+
+    def _parse_statement_at(self, token: Token) -> ast.Stmt:
         kind = token.kind
         if kind is TokenKind.LBRACE:
             return self._parse_block()
@@ -474,80 +536,81 @@ class Parser:
 
     # -- expressions ----------------------------------------------------
 
-    def parse_expr(self) -> ast.Expr:
-        """Parse a full expression (assignment level, comma not supported)."""
-        return self.parse_assignment()
-
     def parse_assignment(self) -> ast.Expr:
-        left = self._parse_ternary()
+        """Parse a full expression (assignment level, comma not supported)."""
+        self._nest(self._peek())
+        expr = self._parse_ternary()
         token = self._peek()
         if token.kind is TokenKind.ASSIGN:
             self._advance()
             value = self.parse_assignment()
-            return ast.AssignExpr(token.location, left, value, None)
-        if token.kind in _COMPOUND_ASSIGN_OPS:
+            expr = ast.AssignExpr(token.location, expr, value, None)
+        elif token.kind in _COMPOUND_ASSIGN_OPS:
             self._advance()
             value = self.parse_assignment()
-            return ast.AssignExpr(
-                token.location, left, value, _COMPOUND_ASSIGN_OPS[token.kind]
+            expr = ast.AssignExpr(
+                token.location, expr, value, _COMPOUND_ASSIGN_OPS[token.kind]
             )
-        return left
+        self._depth -= 1
+        return expr
+
+    # One frame less per parenthesized level than a wrapper method.
+    parse_expr = parse_assignment
 
     def _parse_ternary(self) -> ast.Expr:
         cond = self._parse_binary(1)
         token = self._peek()
         if token.kind is TokenKind.QUESTION:
             self._advance()
+            self._nest(token)
             then = self.parse_expr()
             self._expect(TokenKind.COLON)
             otherwise = self._parse_ternary()
+            self._depth -= 1
             return ast.CondExpr(token.location, cond, then, otherwise)
         return cond
 
     def _parse_binary(self, min_precedence: int) -> ast.Expr:
+        reached, self._reached = self._reached, self._depth
         left = self._parse_unary()
+        links = 0
         while True:
             token = self._peek()
             op = _BINARY_TOKEN_OPS.get(token.kind)
             if op is None:
-                return left
+                break
             precedence = _BINARY_PRECEDENCE[op]
             if precedence < min_precedence:
-                return left
+                break
             self._advance()
             right = self._parse_binary(precedence + 1)
             left = ast.BinaryExpr(token.location, op, left, right)
+            links += 1
+            self._chain(links, token)
+        self._reached = max(reached, self._reached + links)
+        return left
 
     def _parse_unary(self) -> ast.Expr:
         token = self._peek()
-        if token.kind is TokenKind.MINUS:
-            self._advance()
-            return ast.UnaryExpr(token.location, "-", self._parse_unary())
-        if token.kind is TokenKind.BANG:
-            self._advance()
-            return ast.UnaryExpr(token.location, "!", self._parse_unary())
-        if token.kind is TokenKind.TILDE:
-            self._advance()
-            return ast.UnaryExpr(token.location, "~", self._parse_unary())
-        if token.kind is TokenKind.STAR:
-            self._advance()
-            return ast.UnaryExpr(token.location, "*", self._parse_unary())
-        if token.kind is TokenKind.AMP:
-            self._advance()
-            return ast.UnaryExpr(token.location, "&", self._parse_unary())
-        if token.kind is TokenKind.PLUS:
-            self._advance()
-            return self._parse_unary()
-        if token.kind is TokenKind.PLUS_PLUS:
-            self._advance()
-            return ast.IncDecExpr(token.location, self._parse_unary(), 1, True)
-        if token.kind is TokenKind.MINUS_MINUS:
-            self._advance()
-            return ast.IncDecExpr(token.location, self._parse_unary(), -1, True)
-        return self._parse_postfix()
+        kind = token.kind
+        if kind not in _PREFIX_KINDS:
+            return self._parse_postfix()
+        self._advance()
+        self._nest(token)
+        operand = self._parse_unary()
+        self._depth -= 1
+        if kind is TokenKind.PLUS:
+            return operand
+        if kind is TokenKind.PLUS_PLUS:
+            return ast.IncDecExpr(token.location, operand, 1, True)
+        if kind is TokenKind.MINUS_MINUS:
+            return ast.IncDecExpr(token.location, operand, -1, True)
+        return ast.UnaryExpr(token.location, _UNARY_OPS[kind], operand)
 
     def _parse_postfix(self) -> ast.Expr:
+        reached, self._reached = self._reached, self._depth
         expr = self._parse_primary()
+        links = 0
         while True:
             token = self._peek()
             if token.kind is TokenKind.LPAREN:
@@ -572,7 +635,10 @@ class Parser:
                 self._advance()
                 expr = ast.IncDecExpr(token.location, expr, -1, False)
             else:
+                self._reached = max(reached, self._reached + links)
                 return expr
+            links += 1
+            self._chain(links, token)
 
     def _parse_primary(self) -> ast.Expr:
         token = self._peek()

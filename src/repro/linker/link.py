@@ -16,10 +16,10 @@ together by the linker"):
 
 from __future__ import annotations
 
-import copy
 import hashlib
 import json
 from dataclasses import dataclass, field
+from operator import attrgetter
 
 from repro.backend.object import ObjectModule
 from repro.ir.module import GlobalVar
@@ -78,14 +78,42 @@ class Executable:
         return len(self.instructions)
 
 
+# Per instruction class: (class name, slot names sorted, getter of
+# their values in that order) -- the rendering layout of
+# :func:`serialize_executable`, computed once per class.
+_LAYOUTS: dict = {}
+
+
+def _layout(klass) -> tuple:
+    layout = _LAYOUTS.get(klass)
+    if layout is None:
+        names = tuple(sorted(klass.slot_names))
+        if len(names) > 1:
+            getter = attrgetter(*names)
+        else:
+            def getter(instruction, names=names):
+                return tuple(getattr(instruction, name) for name in names)
+        layout = _LAYOUTS[klass] = (klass.__name__, names, getter)
+    return layout
+
+
 def _instruction_fields(instruction) -> dict:
-    """Every slot of an instruction, including linker-resolved ones."""
-    fields = {}
-    for klass in type(instruction).__mro__:
-        for slot in getattr(klass, "__slots__", ()):
-            if hasattr(instruction, slot):
-                fields[slot] = getattr(instruction, slot)
-    return fields
+    """Every set slot of an instruction, including linker-resolved
+    ones."""
+    _name, names, _getter = _layout(type(instruction))
+    return {name: getattr(instruction, name) for name in names
+            if hasattr(instruction, name)}
+
+
+def _render(instruction) -> list:
+    """``[class name, [[slot, value], ...]]`` with slots sorted by
+    name; a slot that was never set is left out."""
+    name, names, getter = _layout(type(instruction))
+    try:
+        values = getter(instruction)
+    except AttributeError:
+        return [name, list(_instruction_fields(instruction).items())]
+    return [name, list(zip(names, values))]
 
 
 def serialize_executable(executable: Executable) -> bytes:
@@ -97,17 +125,12 @@ def serialize_executable(executable: Executable) -> bytes:
     their images are byte-identical, which is what the determinism
     suite asserts across serial/parallel and cold/warm-cache builds.
     """
-    instructions = [
-        [type(instruction).__name__, sorted(
-            (name, value if not isinstance(value, list) else list(value))
-            for name, value in _instruction_fields(instruction).items()
-        )]
-        for instruction in executable.instructions
-    ]
     payload = {
         "entry_pc": executable.entry_pc,
         "data_base": executable.data_base,
-        "instructions": instructions,
+        "instructions": [
+            _render(instruction) for instruction in executable.instructions
+        ],
         "data_words": list(executable.data_words),
         "function_entries": dict(executable.function_entries),
         "global_addresses": dict(executable.global_addresses),
@@ -116,7 +139,11 @@ def serialize_executable(executable: Executable) -> bytes:
             for rng in executable.function_ranges
         ],
     }
-    return json.dumps(payload, sort_keys=True).encode("utf-8")
+    # The payload is freshly built and acyclic, so the encoder's cycle
+    # check (one id() lookup per container) is skipped.
+    return json.dumps(
+        payload, sort_keys=True, check_circular=False
+    ).encode("utf-8")
 
 
 def executable_fingerprint(executable: Executable) -> str:
@@ -187,8 +214,8 @@ def link(modules: list, entry: str = "main") -> Executable:
         executable.function_entries[name] = base
         # Relocation only rebinds ``target`` (B/BC) and ``resolved``
         # (BL/LDA), so a shallow copy per instruction keeps the object
-        # module intact.
-        instructions = [copy.copy(instruction)
+        # module intact (``MInstr.__copy__``, called directly).
+        instructions = [instruction.__copy__()
                         for instruction in function.instructions]
         for instruction in instructions:
             if isinstance(instruction, (isa.B, isa.BC)):

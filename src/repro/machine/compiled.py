@@ -87,6 +87,10 @@ Generated code objects are cached with the executable
 run of the same executable — ``run_executable`` builds a fresh
 :class:`~repro.machine.simulator.Simulator` each call — binds them to
 its own state and generates only the blocks no earlier run reached.
+Across executables, a small process-wide LRU (:data:`_CODE_CACHE`)
+maps generated block source to its code object, so a re-linked copy of
+an executable that already ran generates block source but compiles
+none of it.
 """
 
 from __future__ import annotations
@@ -95,6 +99,7 @@ import builtins
 import re
 import threading
 import weakref
+from collections import OrderedDict
 from dataclasses import astuple
 from functools import partial
 from types import CellType, CodeType, FunctionType
@@ -1472,6 +1477,36 @@ _STATE = (
 )
 _BLOCK_GLOBALS = {"__builtins__": builtins.__dict__}
 
+# Block code objects shared by every program in the process, keyed by
+# the block's generated source: an identical block of another
+# executable (a re-link of an unchanged program, say) reuses the code
+# instead of compiling the source again.  Least recently used entries
+# go first.  One entry retains 7-8 KB (the code object, ~5 KB, plus its
+# source key), so the bound caps the cache near 1.5 MB.
+_CODE_CACHE_SIZE = 192
+_CODE_CACHE: "OrderedDict[str, CodeType]" = OrderedDict()
+_CODE_CACHE_LOCK = threading.Lock()
+
+
+def _block_code(source: str) -> CodeType:
+    """Code object of the ``_b<pc>`` function that ``source`` (a
+    ``_factory`` definition wrapping it) defines."""
+    with _CODE_CACHE_LOCK:
+        code = _CODE_CACHE.get(source)
+        if code is not None:
+            _CODE_CACHE.move_to_end(source)
+            return code
+    # Compiled outside the lock: racing first runs may both compile
+    # the same block, and either code object is correct.
+    module = compile(source, "<repro-sim-compiled>", "exec")
+    factory = next(c for c in module.co_consts if isinstance(c, CodeType))
+    code = next(c for c in factory.co_consts if isinstance(c, CodeType))
+    with _CODE_CACHE_LOCK:
+        _CODE_CACHE[source] = code
+        while len(_CODE_CACHE) > _CODE_CACHE_SIZE:
+            _CODE_CACHE.popitem(last=False)
+    return code
+
 
 class _CompiledProgram:
     """One executable compiled for one accounting configuration.
@@ -1553,10 +1588,7 @@ class _CompiledProgram:
         lines.extend("        " + line for line in body)
         # Only the inner function's code is kept: its free variables are
         # bound to a linkage's cells, never to the factory's.
-        module = compile("\n".join(lines), "<repro-sim-compiled>", "exec")
-        factory = next(c for c in module.co_consts
-                       if isinstance(c, CodeType))
-        return next(c for c in factory.co_consts if isinstance(c, CodeType))
+        return _block_code("\n".join(lines))
 
     def run(self, simulator, max_cycles: int, tracer) -> ExecutionStats:
         stats = ExecutionStats()

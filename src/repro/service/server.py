@@ -646,9 +646,10 @@ class CompileService:
                         executable = scheduler.compile_with_database(
                             phase1, database, opt_level
                         )
-                        fingerprint = executable_fingerprint(
-                            executable
-                        )
+                        with tracer.span("fingerprint"):
+                            fingerprint = executable_fingerprint(
+                                executable
+                            )
                         delta = scheduler.metrics_snapshot().minus(
                             before
                         )

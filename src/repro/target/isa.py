@@ -75,6 +75,32 @@ class MInstr:
 
     is_call = False
 
+    #: Every slot of the class, base classes first; set per subclass.
+    slot_names: tuple = ()
+
+    def __init_subclass__(cls, **kwargs):
+        super().__init_subclass__(**kwargs)
+        names: list = []
+        for klass in reversed(cls.__mro__):
+            for slot in klass.__dict__.get("__slots__", ()):
+                if slot not in names:
+                    names.append(slot)
+        cls.slot_names = tuple(names)
+
+    def __copy__(self):
+        """Shallow copy, slot by slot (an unset slot stays unset).
+
+        The linker copies every instruction it relocates; this skips
+        the generic ``copy._reconstruct`` path."""
+        cls = type(self)
+        clone = cls.__new__(cls)
+        for slot in cls.slot_names:
+            try:
+                setattr(clone, slot, getattr(self, slot))
+            except AttributeError:
+                pass
+        return clone
+
     def uses(self) -> list:
         """Registers read by this instruction."""
         return []

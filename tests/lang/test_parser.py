@@ -2,9 +2,16 @@
 
 import pytest
 
+from repro import compile_program, run_executable
 from repro.lang import ast
-from repro.lang.errors import ParseError
-from repro.lang.parser import evaluate_const_expr, parse_module
+from repro.lang.errors import CompileError, ParseError
+from repro.lang.parser import (
+    MAX_NESTING,
+    MAX_TREE_DEPTH,
+    evaluate_const_expr,
+    parse_module,
+)
+from tests.support import deeply_nested_source
 
 
 def parse(source):
@@ -310,3 +317,49 @@ def test_const_expr_rejects_names():
 def test_array_size_constant_expression():
     decl = parse("int a[2 * 8];").decls[0]
     assert decl.array_size == 16
+
+
+# Pathological nesting: the recursive-descent parser (and the passes
+# after it) would overflow Python's stack; the depth bound turns that
+# into a located compile error.
+
+@pytest.mark.parametrize("shape,depth", [("parens", 200), ("ifs", 400)])
+def test_too_deep_nesting_is_a_located_compile_error(shape, depth):
+    with pytest.raises(CompileError) as excinfo:
+        compile_program({"deep": deeply_nested_source(shape, depth)})
+    error = excinfo.value
+    assert isinstance(error, ParseError)
+    assert error.message == f"nesting deeper than {MAX_NESTING} levels"
+    assert (error.location.module, error.location.line) == ("deep", 3)
+    assert error.location.column > 1
+    assert str(error).startswith(f"deep:3:{error.location.column}: ")
+
+
+@pytest.mark.parametrize("shape", ["parens", "ifs"])
+def test_nesting_just_inside_the_bound_compiles(shape):
+    # The function body, the assignment or statement around the nest
+    # and its innermost operand use the remaining levels.
+    source = deeply_nested_source(shape, MAX_NESTING - 4)
+    stats = run_executable(compile_program({"deep": source}).executable)
+    assert stats.exit_code == (1 if shape == "parens" else 2)
+
+
+def _grouped_chains(groups, links):
+    """Chains of ``links`` links, each group the first operand of the
+    next: every chain alone is shallow, but the tree nests deep."""
+    expr = "1"
+    for _ in range(groups):
+        expr = "(" + expr + " + 1" * links + ")"
+    return f"int f() {{ return {expr}; }}"
+
+
+def test_chains_count_on_top_of_their_deepest_operand():
+    with pytest.raises(ParseError) as excinfo:
+        parse(_grouped_chains(12, 30))
+    assert excinfo.value.message == (
+        f"expression nests deeper than {MAX_TREE_DEPTH} levels"
+    )
+    assert parse(_grouped_chains(8, 30))
+    # The tree bound, not the parser's, stops a long flat chain.
+    with pytest.raises(ParseError, match="expression nests deeper"):
+        parse_expr(" + ".join(["1"] * (MAX_TREE_DEPTH + 1)))

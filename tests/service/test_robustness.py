@@ -11,6 +11,7 @@ from repro.service.client import ServiceClient, ServiceError
 from repro.service.protocol import PROTOCOL_VERSION, request_frame
 from repro.service.server import ServiceThread
 from repro.verify.progen import FuzzProgramGenerator
+from tests.support import deeply_nested_source
 
 
 def send_and_expect(client: ServiceClient, raw: bytes, code: str):
@@ -102,6 +103,19 @@ class TestSessionErrors:
         # session is intact and a fixed source compiles.
         client.edit(session, "m", "int main() { print(2); return 0; }")
         assert client.compile(session)["fingerprint"]
+        client.close_session(session)
+
+
+    @pytest.mark.parametrize("shape,depth", [("parens", 200), ("ifs", 400)])
+    def test_deep_nesting_is_a_compile_error(self, client, shape, depth):
+        session = client.open_session(
+            {"deep": deeply_nested_source(shape, depth)}
+        )["session"]
+        with pytest.raises(ServiceError) as excinfo:
+            client.compile(session)
+        assert excinfo.value.code == "compile-error"
+        assert excinfo.value.message.startswith("deep:3:")
+        assert "nesting deeper than" in excinfo.value.message
         client.close_session(session)
 
 

@@ -125,6 +125,8 @@ def test_request_span_tree_shape(tmp_path):
     assert inner[0] == "queue-wait"
     for phase in ("phase1", "analyze", "phase2", "link"):
         assert phase in inner, inner
+    # Hashing the executable is attributed, not left as self time.
+    assert inner[-1] == "fingerprint"
     # The worker-handoff event rides on the compile span with its
     # timing in the payload.
     assert any(

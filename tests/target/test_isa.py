@@ -6,6 +6,10 @@ import copy
 
 from repro.target import isa
 from repro.target.registers import RP, RV, SP
+from tests.support import (
+    instruction_with_unset_slot,
+    one_instruction_per_class,
+)
 
 
 def vregs(n):
@@ -168,8 +172,8 @@ def test_rename_leaves_unmapped_operands_alone():
 
 
 def test_copies_are_independent():
-    # Object emission shallow-copies instructions and then rewrites the
-    # copy's branch target; the linker mutates deep copies.  Both must
+    # Object emission and the linker shallow-copy instructions and then
+    # rewrite the copy's branch target or resolved symbol.  Both must
     # leave the original untouched and print identically beforehand.
     instr = isa.BC("==", 8, 9, "exit")
     shallow = copy.copy(instr)
@@ -191,3 +195,44 @@ def test_vreg_identity_semantics():
     assert len({a1, a2}) == 2
     assert repr(a1) == "v1.x"
     assert repr(isa.VReg(2)) == "v2"
+
+
+def test_slot_names_cover_every_slot():
+    for instruction in one_instruction_per_class():
+        klass = type(instruction)
+        assert set(klass.slot_names) == set(klass.__slots__)
+        assert len(klass.slot_names) == len(klass.__slots__)
+
+
+def test_copy_keeps_every_slot_of_every_class():
+    for instruction in one_instruction_per_class():
+        clone = copy.copy(instruction)
+        assert type(clone) is type(instruction)
+        assert clone is not instruction
+        for slot in type(instruction).slot_names:
+            assert getattr(clone, slot) is getattr(instruction, slot)
+        assert repr(clone) == repr(instruction)
+
+
+def test_copy_leaves_unset_slots_unset():
+    instruction = instruction_with_unset_slot()
+    clone = copy.copy(instruction)
+    assert not hasattr(clone, "resolved")
+    assert (clone.rd, clone.symbol, clone.is_function) == (
+        3, "table", False
+    )
+    clone.resolved = 1040
+    assert not hasattr(instruction, "resolved")
+
+
+def test_mutating_a_copy_leaves_the_original_intact():
+    for instruction in one_instruction_per_class():
+        before = repr(instruction)
+        values = {slot: getattr(instruction, slot)
+                  for slot in type(instruction).slot_names}
+        clone = copy.copy(instruction)
+        for slot in values:
+            setattr(clone, slot, 99)
+        assert repr(instruction) == before
+        assert {slot: getattr(instruction, slot)
+                for slot in values} == values
